@@ -179,8 +179,8 @@ func analyze(w io.Writer, p *prog.Program, dot bool, fnName string) error {
 	}
 	proven, total := facts.InBoundsCount()
 	decided, branches := facts.DecidedBranchCount()
-	fmt.Fprintf(w, "%s: %d instr, %d function(s); bounds proven %d/%d, branches decided %d/%d\n",
-		p.Name, p.Len(), len(p.Funcs), proven, total, decided, branches)
+	fmt.Fprintf(w, "%s: %d instr, %d function(s); bounds proven %d/%d, branches decided %d/%d; unconverged %d, max visits %d\n",
+		p.Name, p.Len(), len(p.Funcs), proven, total, decided, branches, facts.Unconverged(), facts.MaxVisits())
 	for fi := range p.Funcs {
 		f := p.Funcs[fi]
 		fp, ft, fd, fb := 0, 0, 0, 0
@@ -198,8 +198,12 @@ func analyze(w io.Writer, p *prog.Program, dot bool, fnName string) error {
 				}
 			}
 		}
-		fmt.Fprintf(w, "  %-12s [%4d,%4d) %-10s bounds %d/%d  decided %d/%d\n",
-			f.Name, f.Entry, f.End, facts.Depths[fi], fp, ft, fd, fb)
+		unconverged := 0
+		if !facts.Solves[fi].Converged {
+			unconverged = 1
+		}
+		fmt.Fprintf(w, "  %-12s [%4d,%4d) %-10s bounds %d/%d  decided %d/%d  unconverged %d  visits %d\n",
+			f.Name, f.Entry, f.End, facts.Depths[fi], fp, ft, fd, fb, unconverged, facts.Solves[fi].Visits)
 	}
 	return nil
 }

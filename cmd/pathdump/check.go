@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 
-	"netpath/internal/dataflow"
 	"netpath/internal/dynamo"
 	"netpath/internal/workload"
 )
@@ -24,6 +23,11 @@ type checkEntry struct {
 	BoundsTotal     int `json:"bounds_total"`
 	BranchesDecided int `json:"branches_decided"`
 	BranchesTotal   int `json:"branches_total"`
+	// Unconverged counts range solves that hit their visit budget; such a
+	// function contributes no facts. MaxVisits is the costliest solve's
+	// node-visit count.
+	Unconverged int `json:"unconverged"`
+	MaxVisits   int `json:"max_visits"`
 
 	// Tier-1 translation validation (at emit).
 	ValidatorChecked int64 `json:"validator_checked"`
@@ -80,8 +84,9 @@ func runCheck(args []string, w io.Writer) error {
 		}
 		if !*jsonOut {
 			fmt.Fprintf(w,
-				"%-10s bounds=%d/%d decided=%d/%d  t1 checked=%d rejects=%d  t2 compiled=%d rejects=%d elided=%d implied=%d  guards/step=%.3f\n",
+				"%-10s bounds=%d/%d decided=%d/%d unconverged=%d max_visits=%d  t1 checked=%d rejects=%d  t2 compiled=%d rejects=%d elided=%d implied=%d  guards/step=%.3f\n",
 				e.Name, e.BoundsProven, e.BoundsTotal, e.BranchesDecided, e.BranchesTotal,
+				e.Unconverged, e.MaxVisits,
 				e.ValidatorChecked, e.ValidatorRejects,
 				e.T2Compiled, e.T2ValidatorRejects,
 				e.T2BoundsElided, e.T2GuardsImplied, e.GuardsPerStep)
@@ -115,12 +120,16 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 		return nil, err
 	}
 	e := &checkEntry{Name: name}
-	facts, err := dataflow.Analyze(p)
-	if err != nil {
-		return nil, err
+	// The facts come from the engine's own memo: the report describes the
+	// very facts elision runs on, and the tier-2 worker never waits on a
+	// second analysis of the same program.
+	facts := dynamo.ProgramFacts(p)
+	if facts == nil {
+		return nil, fmt.Errorf("dataflow analysis failed")
 	}
 	e.BoundsProven, e.BoundsTotal = facts.InBoundsCount()
 	e.BranchesDecided, e.BranchesTotal = facts.DecidedBranchCount()
+	e.Unconverged, e.MaxVisits = facts.Unconverged(), facts.MaxVisits()
 
 	tc := dynamo.NewTier2Compiler(1, 256)
 	defer tc.Close()

@@ -68,3 +68,25 @@ func TestCheckUnknownBenchmark(t *testing.T) {
 		t.Fatal("check accepted an unknown benchmark name")
 	}
 }
+
+// TestCheckReportsConvergence: the JSON report carries each benchmark's
+// range-solve health, the fields the CI gate's jq filter reads.
+func TestCheckReportsConvergence(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"check", "-scale", "0.01", "-json", "ijpeg"}, &buf); err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	var rep struct {
+		Benchmarks []map[string]any `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil || len(rep.Benchmarks) != 1 {
+		t.Fatalf("check -json: %v\n%s", err, buf.String())
+	}
+	e := rep.Benchmarks[0]
+	if u, ok := e["unconverged"].(float64); !ok || u != 0 {
+		t.Errorf("unconverged = %v, want 0", e["unconverged"])
+	}
+	if v, ok := e["max_visits"].(float64); !ok || v <= 0 {
+		t.Errorf("max_visits = %v, want a positive count", e["max_visits"])
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"netpath/internal/cfg"
 	"netpath/internal/isa"
 	"netpath/internal/prog"
 )
@@ -336,12 +337,11 @@ func TestStackDepthVaries(t *testing.T) {
 
 func TestLivenessLoop(t *testing.T) {
 	p := freshProgram(t)
-	f, err := Analyze(p)
+	g, err := cfg.Build(p, 0)
 	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("cfg.Build: %v", err)
 	}
-	g := f.Graphs[0]
-	sol := f.Live[0]
+	sol := Solve[LiveState](g, &liveProblem{g: g})
 	// At the loop-head block the cursor r1 and accumulator r4 are live (both
 	// are read before any redefinition on some path); the scratch r3 is not
 	// (it is always rewritten by the load first).
@@ -375,16 +375,15 @@ func TestConstSolutionOnDecidedProgram(t *testing.T) {
 	m.AddI(1, 0, 21)
 	m.Halt()
 	p := b.MustBuild()
-	f, err := Analyze(p)
+	g, err := cfg.Build(p, 0)
 	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("cfg.Build: %v", err)
 	}
-	g := f.Graphs[0]
-	sol := f.Consts[0]
 	n, ok := nodeAtAddr(g, 0)
 	if !ok {
 		t.Fatal("entry node not found")
 	}
+	sol := Solve[ConstState](g, &constProblem{g: g, zeroEntry: map[cfg.Node]bool{n: true}})
 	out := sol.Out[n]
 	if !out.isKnown(1) || out.Val[1] != 42 {
 		t.Fatalf("r1 should be known 42 at block exit, got known=%v val=%d", out.isKnown(1), out.Val[1])

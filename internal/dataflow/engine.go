@@ -7,21 +7,32 @@
 // direction, boundary/initial states, the per-block transfer function, and
 // the join. Optional interfaces refine edge states (branch-condition
 // narrowing) and widen loop-carried states to force termination on lattices
-// of unbounded height (intervals). Everything is deterministic: blocks are
-// visited in reverse post order (post order for backward problems) and the
-// fixpoint loop is round-robin, so two runs over the same program produce
+// of unbounded height (intervals). Solve is a priority worklist: a node is
+// re-queued only when a node feeding it changed its output, and the queued
+// node earliest in reverse post order (post order for backward problems)
+// runs first. The ascent is monotone, each new input being
+// Widen(prev, Join(prev, next)) once a node has changed widenAfter times,
+// so edge refinement cannot pull a widened state back down and every solve
+// settles in a few visits per node. There is no separate narrowing phase;
+// the refined edges already recover the bounds the facts need. A solve that
+// exhausts its visit budget anyway reports Converged == false, and a
+// function whose range solve did not converge contributes no facts.
+// Everything is deterministic, so two runs over the same program produce
 // identical solutions.
 //
 // Four lattices ship with the package: value ranges (interval.go), constant
 // propagation (constprop.go), liveness (liveness.go) and call-graph stack
-// depth (stackdepth.go). Analyze (facts.go) runs them over a whole program
-// and distills the per-instruction facts the rest of the system consumes:
-// which memory accesses are provably in bounds and which branches are
-// statically decided. validate.go uses the same facts to re-prove each
-// compiled superblock and fragment equivalent to its guest source.
+// depth (stackdepth.go). Analyze (facts.go) runs the range and stack-depth
+// analyses over a whole program and distills the per-instruction facts the
+// rest of the system consumes: which memory accesses are provably in bounds
+// and which branches are statically decided. validate.go uses the same
+// facts to re-prove each compiled superblock and fragment equivalent to its
+// guest source.
 package dataflow
 
 import (
+	"math/bits"
+
 	"netpath/internal/cfg"
 )
 
@@ -69,9 +80,11 @@ type EdgeRefiner[S any] interface {
 }
 
 // Widener is an optional Problem extension for lattices with unbounded
-// ascending chains. After a node has been revisited widenAfter times, the
-// engine replaces its freshly joined input with Widen(prev, next), which
-// must be an upper bound of both and must stabilize in finitely many steps.
+// ascending chains. After a node's input has changed widenAfter times, the
+// engine replaces it with Widen(prev, Join(prev, next)). Widen must return an
+// upper bound of both arguments and must stabilize in finitely many steps;
+// one that does not is caught by the visit budget and reported as a solve
+// that did not converge.
 type Widener[S any] interface {
 	Widen(prev, next S) S
 }
@@ -81,97 +94,152 @@ type Widener[S any] interface {
 // to let short chains (init; bound-check; increment) settle exactly first.
 const widenAfter = 4
 
-// Solution holds the fixpoint of a problem: the state flowing into and out
-// of every CFG node, indexed by cfg.Node.
+// visitsPerNode sizes the visit budget: a solve may evaluate each node this
+// many times on average before it gives up. Every lattice shipped here
+// settles in a small fraction of it on every benchmark; the budget exists so
+// a lattice bug degrades to "no facts" instead of hanging the compiler.
+const visitsPerNode = 64
+
+// Solution holds the result of a problem: the state flowing into and out of
+// every CFG node, indexed by cfg.Node.
 type Solution[S any] struct {
 	In  []S
 	Out []S
-	// Rounds is the number of full passes the fixpoint loop took; exported
-	// for tests that pin termination behavior.
-	Rounds int
+	// Visits is the number of node evaluations (join, widen, transfer) the
+	// worklist performed.
+	Visits int
+	// Converged reports that the worklist drained, so In and Out are a
+	// fixpoint. When false the solve hit its visit budget: the states are
+	// not a sound description of the program and nothing may be concluded
+	// from them.
+	Converged bool
 }
 
 // Solve runs p to a fixpoint over g and returns the per-node solution.
 //
-// The iteration order is reverse post order for forward problems and post
-// order for backward ones, with any nodes unreachable from Entry (indirect
-// jump targets in graphs where cfg stops edge construction) appended in
-// node order so extra-entry states still propagate. The outer loop repeats
-// until a full pass changes nothing; Widener bounds the number of passes on
-// infinite lattices.
+// Solve is a priority worklist. Every node starts queued; a node is
+// re-queued only when the output of one of the nodes feeding it changed,
+// and the queued node earliest in reverse post order (post order for
+// backward problems) is always evaluated first, so inner loops settle
+// before the code after them is revisited. Nodes the DFS from Entry never
+// reached (indirect jump targets in graphs where cfg stops edge
+// construction) rank last, in node order, so extra-entry states still
+// propagate.
+//
+// The ascent is monotone: a node's new input is joined with its previous
+// one (and widened, once it has changed widenAfter times), so edge
+// refinement can never pull a state back below what was already seen and
+// every node's input climbs a finite chain. A solve that exceeds its visit
+// budget returns with Converged false.
 func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	n := g.NumNodes()
 	sol := &Solution[S]{In: make([]S, n), Out: make([]S, n)}
 
 	order := visitOrder(g, p.Direction())
+	rank := make([]int, n)
+	for r, node := range order {
+		rank[node] = r
+	}
 
 	refiner, hasRefine := p.(EdgeRefiner[S])
 	widener, hasWiden := p.(Widener[S])
 
-	// flows returns the nodes whose states feed node v, honoring direction.
-	flows := g.Preds
+	// flows[v] are the nodes whose states feed v and feeds[v] the nodes v
+	// feeds, honoring direction.
+	flows, feeds := g.Preds, g.Succs
 	boundaryNode := cfg.Entry
 	if p.Direction() == Backward {
-		flows = g.Succs
+		flows, feeds = g.Succs, g.Preds
 		boundaryNode = cfg.Exit
 	}
 
-	// changed tracks per-node input churn for widening.
-	visits := make([]int, n)
-
-	for v := range order {
-		node := order[v]
-		sol.In[node] = p.Init(g, node)
-		sol.Out[node] = p.Transfer(g, node, sol.In[node])
+	wl := newWorklist(n)
+	for r, node := range order {
+		in := p.Init(g, node)
+		if node == boundaryNode {
+			in = p.Boundary(g)
+		}
+		sol.In[node], sol.Out[node] = in, p.Transfer(g, node, in)
+		wl.push(r)
 	}
-	sol.In[boundaryNode] = p.Boundary(g)
-	sol.Out[boundaryNode] = p.Transfer(g, boundaryNode, sol.In[boundaryNode])
 
+	// changes counts per-node input changes, for widening.
+	changes := make([]int, n)
+	budget := visitsPerNode * n
 	for {
-		sol.Rounds++
-		changed := false
-		for _, node := range order {
-			var in S
-			if node == boundaryNode {
-				in = p.Boundary(g)
-			} else {
-				in = p.Init(g, node)
-			}
-			for _, pred := range flows[node] {
-				out := sol.Out[pred]
-				if hasRefine {
-					if p.Direction() == Forward {
-						out = refiner.RefineEdge(g, pred, node, out)
-					} else {
-						out = refiner.RefineEdge(g, node, pred, out)
-					}
-				}
-				in = p.Join(in, out)
-			}
-			if p.Equal(in, sol.In[node]) {
-				continue
-			}
-			visits[node]++
-			if hasWiden && visits[node] > widenAfter {
-				in = widener.Widen(sol.In[node], in)
-				if p.Equal(in, sol.In[node]) {
-					continue
-				}
-			}
-			sol.In[node] = in
-			sol.Out[node] = p.Transfer(g, node, in)
-			changed = true
-		}
-		if !changed {
+		r, ok := wl.pop()
+		if !ok {
+			sol.Converged = true
 			return sol
 		}
-		// Safety valve: a correct Widener makes this unreachable, but a
-		// buggy lattice must degrade to "analysis gave up", never hang the
-		// compiler. 4*n+64 rounds is far beyond any monotone fixpoint here.
-		if sol.Rounds > 4*n+64 {
+		if sol.Visits == budget {
 			return sol
+		}
+		sol.Visits++
+		node := order[r]
+		prev := sol.In[node]
+		in := prev
+		for _, pred := range flows[node] {
+			out := sol.Out[pred]
+			if hasRefine {
+				if p.Direction() == Forward {
+					out = refiner.RefineEdge(g, pred, node, out)
+				} else {
+					out = refiner.RefineEdge(g, node, pred, out)
+				}
+			}
+			in = p.Join(in, out)
+		}
+		if p.Equal(in, prev) {
+			continue
+		}
+		changes[node]++
+		if hasWiden && changes[node] > widenAfter {
+			in = widener.Widen(prev, in)
+		}
+		sol.In[node] = in
+		out := p.Transfer(g, node, in)
+		if p.Equal(out, sol.Out[node]) {
+			continue
+		}
+		sol.Out[node] = out
+		for _, next := range feeds[node] {
+			wl.push(rank[next])
 		}
 	}
+}
+
+// worklist is a set of node ranks that pops its minimum first. Ranks are
+// bits; low is a lower bound on every queued rank, so pops scan forward from
+// it and the common case (successors rank after the node just popped) never
+// rescans the prefix.
+type worklist struct {
+	bits []uint64
+	low  int
+}
+
+func newWorklist(n int) *worklist {
+	return &worklist{bits: make([]uint64, (n+63)/64), low: n}
+}
+
+func (w *worklist) push(r int) {
+	w.bits[r>>6] |= 1 << (r & 63)
+	if r < w.low {
+		w.low = r
+	}
+}
+
+func (w *worklist) pop() (int, bool) {
+	for i := w.low >> 6; i < len(w.bits); i++ {
+		if b := w.bits[i]; b != 0 {
+			r := i<<6 | bits.TrailingZeros64(b)
+			w.bits[i] &^= 1 << (r & 63)
+			w.low = r + 1
+			return r, true
+		}
+	}
+	w.low = len(w.bits) << 6
+	return 0, false
 }
 
 // visitOrder returns the node iteration order for a direction: RPO

@@ -31,19 +31,19 @@ func (k BranchKind) String() string {
 	}
 }
 
-// Facts is the distilled whole-program result of running every lattice:
-// per-instruction conclusions the compilers and validators consume, plus
-// the raw per-function solutions for introspection tooling.
+// Facts is the distilled whole-program result of the range analysis:
+// per-instruction conclusions the compilers and validators consume, plus the
+// CFGs and per-function solve statistics for introspection tooling.
 type Facts struct {
 	Prog   *prog.Program
 	Graphs []*cfg.Graph
 
-	// Ranges, Consts and Live are indexed by function, like Graphs.
-	Ranges []*Solution[RangeState]
-	Consts []*Solution[ConstState]
-	Live   []*Solution[LiveState]
 	// Depths is the call-graph stack-depth lattice, indexed by function.
 	Depths []FuncDepth
+	// Solves records how each function's range solve went, indexed by
+	// function like Graphs. A function whose solve did not converge
+	// contributes no facts at all.
+	Solves []SolveStats
 
 	// inBounds[pc] is true when the Load/Store at pc provably addresses
 	// inside [0, MemSize) on every execution that reaches it.
@@ -53,6 +53,34 @@ type Facts struct {
 	// entryRange[pc] is the register state on entry to the instruction at
 	// pc, for instruction-granular queries (DOT annotation, validation).
 	entryRange []RangeState
+}
+
+// SolveStats is one solve's cost and outcome.
+type SolveStats struct {
+	Visits    int
+	Converged bool
+}
+
+// Unconverged returns how many functions' range solves hit their visit
+// budget (and so contributed no facts).
+func (f *Facts) Unconverged() int {
+	n := 0
+	for _, s := range f.Solves {
+		if !s.Converged {
+			n++
+		}
+	}
+	return n
+}
+
+// MaxVisits returns the largest node-visit count of any function's range
+// solve.
+func (f *Facts) MaxVisits() int {
+	m := 0
+	for _, s := range f.Solves {
+		m = max(m, s.Visits)
+	}
+	return m
 }
 
 // InBounds reports whether the memory access at pc is statically proven to
@@ -231,9 +259,10 @@ func buildEntryModel(p *prog.Program, graphs []*cfg.Graph) entryModel {
 	return m
 }
 
-// Analyze validates p, builds its CFGs, runs every lattice to fixpoint and
-// distills the per-instruction facts. The program must already be frozen
-// (fingerprinted); Analyze does not mutate it.
+// Analyze validates p, builds its CFGs, runs the value-range analysis to a
+// fixpoint over every function and distills the per-instruction facts. The
+// program must already be frozen (fingerprinted); Analyze does not mutate
+// it.
 func Analyze(p *prog.Program) (*Facts, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("dataflow: program invalid: %w", err)
@@ -244,62 +273,74 @@ func Analyze(p *prog.Program) (*Facts, error) {
 	}
 
 	em := buildEntryModel(p, graphs)
+	f := newFacts(p, graphs)
+	for fi, g := range graphs {
+		f.distill(fi, g, Solve[RangeState](g, em.rangeProblem(fi, g)))
+	}
+	return f, nil
+}
 
-	f := &Facts{
+// newFacts returns p's facts with nothing proven yet.
+func newFacts(p *prog.Program, graphs []*cfg.Graph) *Facts {
+	return &Facts{
 		Prog:       p,
 		Graphs:     graphs,
-		Ranges:     make([]*Solution[RangeState], len(graphs)),
-		Consts:     make([]*Solution[ConstState], len(graphs)),
-		Live:       make([]*Solution[LiveState], len(graphs)),
 		Depths:     AnalyzeStackDepths(p),
+		Solves:     make([]SolveStats, len(graphs)),
 		inBounds:   make([]bool, p.Len()),
 		branch:     make([]BranchKind, p.Len()),
 		entryRange: make([]RangeState, p.Len()),
 	}
+}
 
-	for fi, g := range graphs {
-		rp := &rangeProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
-		cp := &constProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
-		if em.calledEntry[fi] {
-			rp.boundary = topRangeState()
-			cp.boundary = topConstState()
+// rangeProblem returns the value-range problem for function fi under the
+// entry model.
+func (m entryModel) rangeProblem(fi int, g *cfg.Graph) *rangeProblem {
+	rp := &rangeProblem{g: g, topEntry: m.topEntry[fi], zeroEntry: m.zeroEntry[fi]}
+	if m.calledEntry[fi] {
+		rp.boundary = topRangeState()
+	}
+	return rp
+}
+
+// distill records function fi's per-instruction facts by replaying the
+// transfer function through each reached block of its range solution. A
+// solve that did not converge proves nothing, so its function keeps no
+// facts: no in-bounds accesses, no decided branches, no entry ranges.
+func (f *Facts) distill(fi int, g *cfg.Graph, sol *Solution[RangeState]) {
+	f.Solves[fi] = SolveStats{Visits: sol.Visits, Converged: sol.Converged}
+	if !sol.Converged {
+		return
+	}
+	p := f.Prog
+	memSize := int64(p.MemSize)
+	for n := 2; n < g.NumNodes(); n++ {
+		st := sol.In[n]
+		if !st.Reached {
+			continue
 		}
-		f.Ranges[fi] = Solve[RangeState](g, rp)
-		f.Consts[fi] = Solve[ConstState](g, cp)
-		f.Live[fi] = Solve[LiveState](g, &liveProblem{g: g})
-
-		// Distill per-instruction facts by replaying the transfer function
-		// through each reached block.
-		memSize := int64(p.MemSize)
-		for n := 2; n < g.NumNodes(); n++ {
-			st := f.Ranges[fi].In[n]
-			if !st.Reached {
-				continue
-			}
-			b := p.Blocks[g.BlockOf[n]]
-			for pc := b.Start; pc < b.End; pc++ {
-				in := p.Instrs[pc]
-				f.entryRange[pc] = st
-				switch in.Op {
-				case isa.Load, isa.Store:
-					addr := addIv(st.Reg[in.B], Point(in.Imm))
-					if !addr.IsFull() && addr.Within(0, memSize-1) {
-						f.inBounds[pc] = true
-					}
-				case isa.Br:
-					if taken, ok := condDecide(st.Reg[in.A], st.Reg[in.B], in.Cond); ok {
-						f.branch[pc] = decidedKind(taken)
-					}
-				case isa.BrI:
-					if taken, ok := condDecide(st.Reg[in.A], Point(in.Imm), in.Cond); ok {
-						f.branch[pc] = decidedKind(taken)
-					}
+		b := p.Blocks[g.BlockOf[n]]
+		for pc := b.Start; pc < b.End; pc++ {
+			in := p.Instrs[pc]
+			f.entryRange[pc] = st
+			switch in.Op {
+			case isa.Load, isa.Store:
+				addr := addIv(st.Reg[in.B], Point(in.Imm))
+				if !addr.IsFull() && addr.Within(0, memSize-1) {
+					f.inBounds[pc] = true
 				}
-				rangeTransferInstr(&st, in)
+			case isa.Br:
+				if taken, ok := condDecide(st.Reg[in.A], st.Reg[in.B], in.Cond); ok {
+					f.branch[pc] = decidedKind(taken)
+				}
+			case isa.BrI:
+				if taken, ok := condDecide(st.Reg[in.A], Point(in.Imm), in.Cond); ok {
+					f.branch[pc] = decidedKind(taken)
+				}
 			}
+			rangeTransferInstr(&st, in)
 		}
 	}
-	return f, nil
 }
 
 func decidedKind(taken bool) BranchKind {

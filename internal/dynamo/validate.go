@@ -15,15 +15,13 @@
 // (internal/dataflow.Analyze) feeds the superblock compiler: memory accesses
 // proven in-bounds lower to check-free fused handlers and branches the
 // analysis decided compile to nothing. The analysis runs at most once per
-// resident program — on a background compile worker, never the mutator —
-// and is memoized exactly like the CFG verifier's verdicts.
+// resident program image, on a background compile worker and never the
+// mutator, and shares its memo entry with the CFG verifier's verdict
+// (programMemo, verify.go).
 package dynamo
 
 import (
-	"sync"
-
 	"netpath/internal/dataflow"
-	"netpath/internal/prog"
 	"netpath/internal/telemetry"
 	"netpath/internal/vm"
 )
@@ -34,39 +32,6 @@ var (
 	telT2ValidateRejects = telemetry.NewCounter("dynamo_tier2_validator_rejects_total",
 		"tier-2 superblocks refused publication by the translation validator")
 )
-
-// factsCache memoizes dataflow.Analyze by program identity, with the same
-// bounded full-drop policy as verifyCache (programs are immutable after
-// Freeze; analysis is cheap relative to a run; staleness is impossible).
-// A program whose analysis fails is cached as nil: callers degrade to
-// fact-free compilation and validation.
-var (
-	factsMu    sync.Mutex
-	factsCache = make(map[*prog.Program]*dataflow.Facts)
-)
-
-// programFacts returns the memoized whole-program dataflow facts for p, or
-// nil if the analysis failed (a verified program always analyzes; nil is
-// pure defense).
-func programFacts(p *prog.Program) *dataflow.Facts {
-	factsMu.Lock()
-	if f, ok := factsCache[p]; ok {
-		factsMu.Unlock()
-		return f
-	}
-	factsMu.Unlock()
-	f, err := dataflow.Analyze(p)
-	if err != nil {
-		f = nil
-	}
-	factsMu.Lock()
-	if len(factsCache) >= verifyCacheCap {
-		clear(factsCache)
-	}
-	factsCache[p] = f
-	factsMu.Unlock()
-	return f
-}
 
 // sbFactsFor adapts dataflow facts to the superblock compiler's narrow
 // interface.

@@ -5,8 +5,12 @@
 package prog
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"netpath/internal/isa"
 )
@@ -45,8 +49,9 @@ type Program struct {
 	// Entry is the address execution starts at.
 	Entry int
 
-	blockAt     []int32 // address -> block index, built lazily by Freeze
-	fingerprint uint64  // content hash, built alongside blockAt
+	blockAt     []int32                           // address -> block index, built lazily by Freeze
+	fingerprint uint64                            // content hash, built alongside blockAt
+	digest      atomic.Pointer[[sha256.Size]byte] // built on first Digest
 }
 
 // MemInit is one initial memory word.
@@ -71,6 +76,7 @@ func (p *Program) Freeze() {
 		}
 	}
 	p.fingerprint = p.computeFingerprint()
+	p.digest.Store(nil)
 }
 
 // Fingerprint returns a content hash of the executable image: instruction
@@ -110,6 +116,66 @@ func (p *Program) computeFingerprint() uint64 {
 		mix(uint64(mi.Value))
 	}
 	return h
+}
+
+// Digest returns a SHA-256 over the whole program image: name, instruction
+// words, function and block structure, entry point, memory size and initial
+// memory, which is everything static verification and analysis read. Unlike
+// Fingerprint it is collision resistant, so it can key caches of verdicts on
+// untrusted programs: two programs share a digest only if they are the same
+// program. It is computed on first use and, like Fingerprint, assumes the
+// program is no longer mutated.
+func (p *Program) Digest() [sha256.Size]byte {
+	if d := p.digest.Load(); d != nil {
+		return *d
+	}
+	d := p.computeDigest()
+	p.digest.Store(&d)
+	return d
+}
+
+func (p *Program) computeDigest() [sha256.Size]byte {
+	h := sha256.New()
+	w := bufio.NewWriterSize(h, 4096)
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		w.Write(buf[:])
+	}
+	str := func(s string) {
+		word(uint64(len(s)))
+		w.WriteString(s)
+	}
+	str(p.Name)
+	word(uint64(len(p.Instrs)))
+	for _, in := range p.Instrs {
+		word(uint64(in.Op) | uint64(in.Cond)<<8 | uint64(in.A)<<16 | uint64(in.B)<<24 | uint64(in.C)<<32)
+		word(uint64(in.Imm))
+		word(uint64(in.Target))
+	}
+	word(uint64(len(p.Funcs)))
+	for _, f := range p.Funcs {
+		str(f.Name)
+		word(uint64(f.Entry))
+		word(uint64(f.End))
+	}
+	word(uint64(len(p.Blocks)))
+	for _, b := range p.Blocks {
+		word(uint64(b.Start))
+		word(uint64(b.End))
+		word(uint64(b.Func))
+	}
+	word(uint64(p.Entry))
+	word(uint64(p.MemSize))
+	word(uint64(len(p.InitMem)))
+	for _, mi := range p.InitMem {
+		word(uint64(mi.Addr))
+		word(uint64(mi.Value))
+	}
+	w.Flush() // writes into a hash never fail
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // BlockAt returns the index of the block containing address addr, or -1.

@@ -342,3 +342,43 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("name change should not change fingerprint")
 	}
 }
+
+// TestDigest: the digest covers everything Fingerprint does plus the
+// function/block structure and the name, so programs that share a
+// Fingerprint but not their layout still get different digests.
+func TestDigest(t *testing.T) {
+	a := buildLoop(t)
+	if a.Digest() != buildLoop(t).Digest() {
+		t.Fatal("identical programs must share a digest")
+	}
+	// Merge the two functions into one: same instruction words, so the
+	// same Fingerprint, but a different function table.
+	merged := buildLoop(t)
+	merged.Funcs = []Func{{Name: "main", Entry: 0, End: merged.Len()}}
+	merged.Blocks = append([]Block(nil), merged.Blocks...)
+	for i := range merged.Blocks {
+		merged.Blocks[i].Func = 0
+	}
+	merged.Freeze()
+	if merged.Fingerprint() != a.Fingerprint() {
+		t.Fatal("function table change should not change the fingerprint")
+	}
+	if merged.Digest() == a.Digest() {
+		t.Fatal("function table change did not change the digest")
+	}
+	named := buildLoop(t)
+	named.Name = "other"
+	named.Freeze()
+	if named.Digest() == a.Digest() {
+		t.Fatal("name change did not change the digest")
+	}
+	// Freeze after a mutation recomputes a digest taken earlier.
+	c := buildLoop(t)
+	before := c.Digest()
+	c.Instrs = append([]isa.Instr(nil), c.Instrs...)
+	c.Instrs[1].Imm++
+	c.Freeze()
+	if c.Digest() == before {
+		t.Fatal("re-Freeze kept a stale digest")
+	}
+}

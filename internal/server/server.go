@@ -182,6 +182,7 @@ type Server struct {
 	pool    *par.Resident
 	mux     *http.ServeMux
 	sink    *telemetry.Sink
+	bench   benchPrograms
 
 	inFlight atomic.Int64
 	draining atomic.Bool
@@ -387,7 +388,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	admitEnd := s.now()
-	if apiErr := req.resolve(s.cfg.Quotas); apiErr != nil {
+	if apiErr := req.resolve(s.cfg.Quotas, &s.bench); apiErr != nil {
 		telRejected.Inc()
 		apiErr.write(w)
 		return

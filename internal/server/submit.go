@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"netpath/internal/asm"
@@ -153,10 +154,11 @@ func (r *runRequest) validate() *apiError {
 	return nil
 }
 
-// resolve builds the guest program, enforces size quotas, and gates it
-// through the static verifier. This is the expensive pre-admission stage:
-// a program the verifier refuses never occupies a queue slot.
-func (r *runRequest) resolve(q Quotas) *apiError {
+// resolve builds the guest program (bench programs come from the server's
+// shared set), enforces size quotas, and gates it through the static
+// verifier. This is the expensive pre-admission stage: a program the
+// verifier refuses never occupies a queue slot.
+func (r *runRequest) resolve(q Quotas, bench *benchPrograms) *apiError {
 	var p *prog.Program
 	switch {
 	case r.Asm != "":
@@ -184,7 +186,7 @@ func (r *runRequest) resolve(q Quotas) *apiError {
 		if scale == 0 {
 			scale = 0.01
 		}
-		p, err = b.Build(scale)
+		p, err = bench.get(b, scale)
 		if err != nil {
 			return errf(CodeInternal, http.StatusInternalServerError, "build benchmark: %v", err)
 		}
@@ -223,6 +225,49 @@ func (r *runRequest) resolve(q Quotas) *apiError {
 	}
 	r.program = p
 	return nil
+}
+
+// benchPrograms shares built benchmark programs across requests. A
+// benchmark is a pure function of (name, scale) and a built program is
+// immutable, so every request for the same pair runs the same image.
+// Rebuilding it per request was the largest source of garbage on a
+// bench-request mix, and each rebuild handed the engine's per-program memo
+// a fresh image to digest. Crossing benchCacheCap drops every entry; a
+// program's size does not depend on its scale, so the cap bounds memory.
+type benchPrograms struct {
+	mu sync.Mutex
+	m  map[benchKey]*prog.Program
+}
+
+type benchKey struct {
+	name  string
+	scale float64
+}
+
+// benchCacheCap bounds benchPrograms: the nine benchmarks at a default and
+// one other scale.
+const benchCacheCap = 18
+
+// get returns b built at scale, building it on first request.
+func (c *benchPrograms) get(b workload.Benchmark, scale float64) (*prog.Program, error) {
+	k := benchKey{b.Name, scale}
+	c.mu.Lock()
+	p := c.m[k]
+	c.mu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	p, err := b.Build(scale)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.m == nil || len(c.m) >= benchCacheCap {
+		c.m = make(map[benchKey]*prog.Program)
+	}
+	c.m[k] = p
+	c.mu.Unlock()
+	return p, nil
 }
 
 // budgets returns the effective step and wall-clock budgets under q.
