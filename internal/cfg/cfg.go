@@ -11,6 +11,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netpath/internal/isa"
@@ -48,26 +49,39 @@ type Graph struct {
 	// the static successor sets are incomplete.
 	HasIndirect bool
 
-	rpo  []Node
-	idom []Node
+	rpo []Node
+	// rpoIdx[u] is u's position in rpo, -1 when u is unreachable.
+	rpoIdx []int32
+	idom   []Node
+	// pre and post number the dominator tree in one DFS from Entry: a
+	// dominates b iff b's interval [pre, post] nests inside a's.
+	pre, post []int32
 }
 
-// Build constructs the CFG for function fi of p.
+// Build constructs the CFG for function fi of p. The program's blocks must
+// tile its functions (prog.Validate checks this), so fi's blocks are the
+// contiguous run starting at the block of its entry.
 func Build(p *prog.Program, fi int) (*Graph, error) {
 	if fi < 0 || fi >= len(p.Funcs) {
 		return nil, fmt.Errorf("cfg: function index %d out of range", fi)
 	}
 	f := p.Funcs[fi]
-	g := &Graph{Prog: p, Func: fi, NodeOf: make(map[int]Node)}
-	g.BlockOf = []int{-1, -1}
-	for bi, b := range p.Blocks {
-		if b.Func != fi {
-			continue
-		}
+	first := p.BlockAt(f.Entry)
+	if first < 0 || p.Blocks[first].Func != fi {
+		return nil, fmt.Errorf("cfg: function %q has no block at its entry %d", f.Name, f.Entry)
+	}
+	last := first
+	for last < len(p.Blocks) && p.Blocks[last].Func == fi {
+		last++
+	}
+	n := 2 + last - first
+	g := &Graph{Prog: p, Func: fi, NodeOf: make(map[int]Node, last-first)}
+	g.BlockOf = make([]int, 2, n)
+	g.BlockOf[Entry], g.BlockOf[Exit] = -1, -1
+	for bi := first; bi < last; bi++ {
 		g.NodeOf[bi] = Node(len(g.BlockOf))
 		g.BlockOf = append(g.BlockOf, bi)
 	}
-	n := len(g.BlockOf)
 	g.Succs = make([][]Node, n)
 	g.Preds = make([][]Node, n)
 
@@ -76,13 +90,10 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 		g.Preds[to] = append(g.Preds[to], from)
 	}
 
-	entryBlock := p.BlockAt(f.Entry)
-	addEdge(Entry, g.NodeOf[entryBlock])
+	addEdge(Entry, g.NodeOf[first])
 
-	for bi, b := range p.Blocks {
-		if b.Func != fi {
-			continue
-		}
+	for bi := first; bi < last; bi++ {
+		b := p.Blocks[bi]
 		node := g.NodeOf[bi]
 		term := p.Instrs[b.End-1]
 		switch term.Op {
@@ -107,6 +118,7 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 	}
 	g.computeRPO()
 	g.computeDominators()
+	g.numberDomTree()
 	return g, nil
 }
 
@@ -157,7 +169,12 @@ func (g *Graph) computeRPO() {
 	}
 	dfs(Entry)
 	g.rpo = make([]Node, 0, len(post))
+	g.rpoIdx = make([]int32, n)
+	for i := range g.rpoIdx {
+		g.rpoIdx[i] = -1
+	}
 	for i := len(post) - 1; i >= 0; i-- {
+		g.rpoIdx[post[i]] = int32(len(g.rpo))
 		g.rpo = append(g.rpo, post[i])
 	}
 }
@@ -165,14 +182,9 @@ func (g *Graph) computeRPO() {
 // RPO returns the reverse postorder over nodes reachable from Entry.
 func (g *Graph) RPO() []Node { return g.rpo }
 
-// Reachable reports whether node u is reachable from Entry.
+// Reachable reports whether node u is reachable from Entry, in O(1).
 func (g *Graph) Reachable(u Node) bool {
-	for _, v := range g.rpo {
-		if v == u {
-			return true
-		}
-	}
-	return false
+	return u >= 0 && int(u) < len(g.rpoIdx) && g.rpoIdx[u] >= 0
 }
 
 // computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm.
@@ -184,13 +196,7 @@ func (g *Graph) computeDominators() {
 	}
 	g.idom[Entry] = Entry
 
-	rpoIndex := make([]int, n)
-	for i := range rpoIndex {
-		rpoIndex[i] = -1
-	}
-	for i, u := range g.rpo {
-		rpoIndex[u] = i
-	}
+	rpoIndex := g.rpoIdx
 	intersect := func(a, b Node) Node {
 		for a != b {
 			for rpoIndex[a] > rpoIndex[b] {
@@ -231,23 +237,55 @@ func (g *Graph) computeDominators() {
 // nodes return -1).
 func (g *Graph) Idom(u Node) Node { return g.idom[u] }
 
-// Dominates reports whether a dominates b.
+// numberDomTree numbers the dominator tree in one iterative DFS from
+// Entry, giving each reachable node its preorder and postorder time. The
+// children lists live in one flat array: u's children are
+// kids[start[u]:start[u+1]].
+func (g *Graph) numberDomTree() {
+	n := g.NumNodes()
+	start := make([]int32, n+1)
+	for _, u := range g.rpo[1:] { // rpo[0] is Entry, the root
+		start[g.idom[u]+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	kids := make([]Node, len(g.rpo)-1)
+	next := slices.Clone(start[:n])
+	for _, u := range g.rpo[1:] {
+		p := g.idom[u]
+		kids[next[p]] = u
+		next[p]++
+	}
+	// Each next[u] is now start[u+1]; the walk counts it back down to
+	// start[u], visiting u's children last to first.
+	g.pre = make([]int32, n)
+	g.post = make([]int32, n)
+	clock := int32(1) // pre[Entry] is 0
+	stack := []Node{Entry}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		if next[u] > start[u] {
+			next[u]--
+			v := kids[next[u]]
+			g.pre[v] = clock
+			clock++
+			stack = append(stack, v)
+			continue
+		}
+		g.post[u] = clock
+		clock++
+		stack = stack[:len(stack)-1]
+	}
+}
+
+// Dominates reports whether a dominates b, in O(1): both must be reachable
+// and b's dominator-tree interval must nest inside a's.
 func (g *Graph) Dominates(a, b Node) bool {
-	if g.idom[b] < 0 {
+	if !g.Reachable(a) || !g.Reachable(b) {
 		return false
 	}
-	for {
-		if a == b {
-			return true
-		}
-		if b == Entry {
-			return false
-		}
-		b = g.idom[b]
-		if b < 0 {
-			return false
-		}
-	}
+	return g.pre[a] <= g.pre[b] && g.post[b] <= g.post[a]
 }
 
 // BackEdges returns the edges u→v where v dominates u (natural-loop back
@@ -270,41 +308,35 @@ type Loop struct {
 }
 
 // NaturalLoops returns the natural loops of the graph, one per back-edge
-// head (back edges sharing a head are merged), sorted by head.
+// head (back edges sharing a head are merged), sorted by head. A loop body is
+// collected by walking predecessors from each of its back-edge tails up to
+// the head; membership is one stamp slice shared by all heads, so the cost is
+// linear in the total size of the bodies.
 func (g *Graph) NaturalLoops() []Loop {
-	byHead := map[Node]map[Node]bool{}
-	for _, e := range g.BackEdges() {
-		body := byHead[e.To]
-		if body == nil {
-			body = map[Node]bool{e.To: true}
-			byHead[e.To] = body
-		}
-		// Walk predecessors from the tail until the head.
-		stack := []Node{e.From}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if body[u] {
-				continue
+	back := g.BackEdges()
+	sort.Slice(back, func(i, j int) bool { return back[i].To < back[j].To }) // group by head
+	stamp := make([]int32, g.NumNodes())
+	loops := make([]Loop, 0, len(back))
+	var stack []Node
+	for i := 0; i < len(back); {
+		h := back[i].To
+		mark := int32(len(loops) + 1)
+		stamp[h] = mark
+		body := []Node{h}
+		for ; i < len(back) && back[i].To == h; i++ {
+			stack = append(stack[:0], back[i].From)
+			for len(stack) > 0 {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if stamp[u] == mark {
+					continue
+				}
+				stamp[u] = mark
+				body = append(body, u)
+				stack = append(stack, g.Preds[u]...)
 			}
-			body[u] = true
-			for _, p := range g.Preds[u] {
-				stack = append(stack, p)
-			}
 		}
-	}
-	heads := make([]Node, 0, len(byHead))
-	for h := range byHead {
-		heads = append(heads, h)
-	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	loops := make([]Loop, 0, len(heads))
-	for _, h := range heads {
-		var body []Node
-		for u := range byHead[h] {
-			body = append(body, u)
-		}
-		sort.Slice(body, func(i, j int) bool { return body[i] < body[j] })
+		slices.Sort(body)
 		loops = append(loops, Loop{Head: h, Body: body})
 	}
 	return loops

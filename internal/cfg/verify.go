@@ -310,15 +310,17 @@ func verifyFunc(p *prog.Program, fi int, g *Graph, r *Report, callTargets map[in
 	// Obviously-infinite counterless loops: a natural loop no edge leaves
 	// and no call or halt interrupts. (ret and halt terminators edge to
 	// Exit, which is outside every loop body, so they register as exits.)
-	for _, l := range g.NaturalLoops() {
-		inBody := map[Node]bool{}
+	// inLoop[u] == i+1 marks u as a body node of the i-th loop.
+	inLoop := make([]int32, g.NumNodes())
+	for i, l := range g.NaturalLoops() {
+		mark := int32(i + 1)
 		for _, u := range l.Body {
-			inBody[u] = true
+			inLoop[u] = mark
 		}
 		escapes := false
 		for _, u := range l.Body {
 			for _, v := range g.Succs[u] {
-				if !inBody[v] {
+				if inLoop[v] != mark {
 					escapes = true
 				}
 			}

@@ -231,3 +231,65 @@ func TestFactsDynamicallySound(t *testing.T) {
 	}
 	t.Logf("checked %d proven accesses and %d decided branches", mem, br)
 }
+
+// perInstructionEntryRanges is the reference for EntryRange: every
+// function's range solve replayed through each reached block with one state
+// recorded per instruction, the layout the facts kept before they stored
+// one state per block. Functions whose solve did not converge record
+// nothing.
+func perInstructionEntryRanges(t *testing.T, p *prog.Program) []RangeState {
+	t.Helper()
+	graphs, err := cfg.BuildAll(p)
+	if err != nil {
+		t.Fatalf("%s: cfg: %v", p.Name, err)
+	}
+	em := buildEntryModel(p, graphs)
+	out := make([]RangeState, p.Len())
+	for fi, g := range graphs {
+		sol := Solve[RangeState](g, em.rangeProblem(fi, g))
+		if !sol.Converged {
+			continue
+		}
+		for n := 2; n < g.NumNodes(); n++ {
+			st := sol.In[n]
+			if !st.Reached {
+				continue
+			}
+			b := p.Blocks[g.BlockOf[n]]
+			for pc := b.Start; pc < b.End; pc++ {
+				out[pc] = st
+				rangeTransferInstr(&st, p.Instrs[pc])
+			}
+		}
+	}
+	return out
+}
+
+// TestEntryRangeMatchesPerInstructionReplay: replaying a block from its
+// stored entry state gives, at every pc of the benchmarks and of random
+// programs, exactly the state a per-instruction table would have held.
+func TestEntryRangeMatchesPerInstructionReplay(t *testing.T) {
+	ps := benchPrograms(t)
+	for seed := int64(0); seed < 50; seed++ {
+		ps = append(ps, randprog.MustGenerate(seed, randprog.Options{}))
+	}
+	for _, p := range ps {
+		f, err := Analyze(p)
+		if err != nil {
+			t.Fatalf("%s: Analyze: %v", p.Name, err)
+		}
+		want := perInstructionEntryRanges(t, p)
+		for pc := range p.Instrs {
+			got, ok := f.EntryRange(pc)
+			if got != want[pc] || ok != want[pc].Reached {
+				t.Fatalf("%s: EntryRange(%d) = %+v, %v; per-instruction replay has %+v",
+					p.Name, pc, got, ok, want[pc])
+			}
+		}
+		for _, pc := range []int{-1, p.Len()} {
+			if _, ok := f.EntryRange(pc); ok {
+				t.Errorf("%s: EntryRange(%d) outside the program reported reached", p.Name, pc)
+			}
+		}
+	}
+}

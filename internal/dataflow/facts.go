@@ -33,7 +33,9 @@ func (k BranchKind) String() string {
 
 // Facts is the distilled whole-program result of the range analysis:
 // per-instruction conclusions the compilers and validators consume, plus the
-// CFGs and per-function solve statistics for introspection tooling.
+// CFGs and per-function solve statistics for introspection tooling. Register
+// ranges are kept per block, not per instruction: a RangeState is 520 bytes,
+// and EntryRange recovers any instruction's state by replaying its block.
 type Facts struct {
 	Prog   *prog.Program
 	Graphs []*cfg.Graph
@@ -50,9 +52,9 @@ type Facts struct {
 	inBounds []bool
 	// branch[pc] is the decided outcome of the Br/BrI at pc.
 	branch []BranchKind
-	// entryRange[pc] is the register state on entry to the instruction at
-	// pc, for instruction-granular queries (DOT annotation, validation).
-	entryRange []RangeState
+	// blockEntry[bi] is the register state on entry to program block bi;
+	// its Reached is false for blocks the analysis proved nothing about.
+	blockEntry []RangeState
 }
 
 // SolveStats is one solve's cost and outcome.
@@ -100,13 +102,19 @@ func (f *Facts) Branch(pc int32) BranchKind {
 	return f.branch[pc]
 }
 
-// EntryRange returns the register range state flowing into pc. The second
-// result is false when the analysis considers pc unreachable.
+// EntryRange returns the register range state flowing into pc, replaying
+// pc's block from its entry state (O(block length)). The second result is
+// false when the analysis considers pc unreachable.
 func (f *Facts) EntryRange(pc int) (RangeState, bool) {
-	if pc < 0 || pc >= len(f.entryRange) {
+	bi := f.Prog.BlockAt(pc)
+	if bi < 0 || !f.blockEntry[bi].Reached {
 		return RangeState{}, false
 	}
-	return f.entryRange[pc], f.entryRange[pc].Reached
+	st := f.blockEntry[bi]
+	for a := f.Prog.Blocks[bi].Start; a < pc; a++ {
+		rangeTransferInstr(&st, f.Prog.Instrs[a])
+	}
+	return st, st.Reached
 }
 
 // InBoundsCount returns how many memory accesses were proven safe and the
@@ -289,7 +297,7 @@ func newFacts(p *prog.Program, graphs []*cfg.Graph) *Facts {
 		Solves:     make([]SolveStats, len(graphs)),
 		inBounds:   make([]bool, p.Len()),
 		branch:     make([]BranchKind, p.Len()),
-		entryRange: make([]RangeState, p.Len()),
+		blockEntry: make([]RangeState, len(p.Blocks)),
 	}
 }
 
@@ -303,10 +311,11 @@ func (m entryModel) rangeProblem(fi int, g *cfg.Graph) *rangeProblem {
 	return rp
 }
 
-// distill records function fi's per-instruction facts by replaying the
-// transfer function through each reached block of its range solution. A
-// solve that did not converge proves nothing, so its function keeps no
-// facts: no in-bounds accesses, no decided branches, no entry ranges.
+// distill records function fi's facts by replaying the transfer function
+// through each reached block of its range solution: the block's entry state
+// and each instruction's in-bounds and decided-branch conclusions. A solve
+// that did not converge proves nothing, so its function keeps no facts: no
+// in-bounds accesses, no decided branches, no entry ranges.
 func (f *Facts) distill(fi int, g *cfg.Graph, sol *Solution[RangeState]) {
 	f.Solves[fi] = SolveStats{Visits: sol.Visits, Converged: sol.Converged}
 	if !sol.Converged {
@@ -319,10 +328,10 @@ func (f *Facts) distill(fi int, g *cfg.Graph, sol *Solution[RangeState]) {
 		if !st.Reached {
 			continue
 		}
+		f.blockEntry[g.BlockOf[n]] = st
 		b := p.Blocks[g.BlockOf[n]]
 		for pc := b.Start; pc < b.End; pc++ {
 			in := p.Instrs[pc]
-			f.entryRange[pc] = st
 			switch in.Op {
 			case isa.Load, isa.Store:
 				addr := addIv(st.Reg[in.B], Point(in.Imm))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"netpath/internal/isa"
 	"netpath/internal/prog"
 	"netpath/internal/workload"
 )
@@ -76,8 +77,33 @@ func TestProgramMemoKeying(t *testing.T) {
 	if memoFor(merged) == e {
 		t.Fatal("programs with equal Fingerprint but different functions share a memo entry")
 	}
-	if verifyGate(merged) == nil {
+	if Verify(merged) == nil {
 		t.Error("folded program verified: it borrowed the original's verdict")
+	}
+}
+
+// TestVerifySharedWithNew: Verify (netpathd's admission check) and New's
+// load gate read one verdict per image. Each verifier run builds a fresh
+// *cfg.VerifyError, so an identical error value on a rebuilt copy proves the
+// verifier ran once.
+func TestVerifySharedWithNew(t *testing.T) {
+	spin := func() *prog.Program {
+		p := &prog.Program{
+			Name:    "spin",
+			Instrs:  []isa.Instr{{Op: isa.Jmp, Target: 0}},
+			Funcs:   []prog.Func{{Name: "main", Entry: 0, End: 1}},
+			Blocks:  []prog.Block{{Start: 0, End: 1, Func: 0}},
+			MemSize: 1,
+		}
+		p.Freeze()
+		return p
+	}
+	err := Verify(spin())
+	if err == nil {
+		t.Fatal("counterless infinite loop verified")
+	}
+	if again := New(spin(), DefaultConfig(SchemeNET, 50)).verifyErr; again != err {
+		t.Errorf("New on a rebuilt copy got verdict %p (%v), want the memoized %p", again, again, err)
 	}
 }
 
@@ -89,7 +115,7 @@ func TestProgramMemoDoesNotPin(t *testing.T) {
 	func() {
 		p := buildBench(t, "ijpeg")
 		runtime.SetFinalizer(p, func(*prog.Program) { close(collected) })
-		if err := verifyGate(p); err != nil {
+		if err := Verify(p); err != nil {
 			t.Fatalf("verify: %v", err)
 		}
 		if ProgramFacts(p) == nil {
@@ -127,7 +153,7 @@ func TestProgramMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = verifyGate(p)
+			errs[i] = Verify(p)
 			facts[i] = ProgramFacts(p) != nil
 			entries[i] = memoFor(p)
 		}()

@@ -71,9 +71,11 @@ func memoFor(p *prog.Program) *memoEntry {
 	return e
 }
 
-// verifyGate returns the static verifier's verdict for p, computing it at
-// most once per resident program image.
-func verifyGate(p *prog.Program) error {
+// Verify returns the static verifier's verdict for p (cfg.VerifyProgram),
+// computing it at most once per resident program image. New gates every
+// System on it, and netpathd's admission check calls it too, so a program
+// admitted by the server is not verified again when its System is built.
+func Verify(p *prog.Program) error {
 	e := memoFor(p)
 	e.verifyOnce.Do(func() { e.verdict = cfg.VerifyProgram(p) })
 	return e.verdict

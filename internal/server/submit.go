@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"netpath/internal/asm"
-	"netpath/internal/cfg"
 	"netpath/internal/dynamo"
 	"netpath/internal/prog"
 	"netpath/internal/workload"
@@ -207,9 +206,10 @@ func (r *runRequest) resolve(q Quotas, bench *benchPrograms) *apiError {
 		return errf(CodeQuota, http.StatusUnprocessableEntity,
 			"deadline_ms %d exceeds tenant quota %dms", r.DeadlineMS, q.MaxDeadline.Milliseconds())
 	}
-	// The same verifier gates here as in dynamo.New's verify gate; failing
-	// fast keeps hostile programs out of the queue entirely.
-	if err := cfg.VerifyProgram(p); err != nil {
+	// dynamo.Verify is the memoized verdict dynamo.New gates on, so each
+	// program image is verified once, here; failing fast keeps hostile
+	// programs out of the queue entirely.
+	if err := dynamo.Verify(p); err != nil {
 		return errf(CodeVerify, http.StatusUnprocessableEntity, "verifier rejected program: %v", err)
 	}
 	if r.Name == "" {

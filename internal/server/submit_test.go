@@ -1,8 +1,11 @@
 package server
 
 import (
+	"net/http"
 	"testing"
 
+	"netpath/internal/asm"
+	"netpath/internal/cfg"
 	"netpath/internal/prog"
 	"netpath/internal/workload"
 )
@@ -36,5 +39,37 @@ func TestBenchProgramsShared(t *testing.T) {
 		if len(c.m) > benchCacheCap {
 			t.Fatalf("%d programs held, cap %d", len(c.m), benchCacheCap)
 		}
+	}
+}
+
+// TestAdmissionVerifyMemoized: admission gates on dynamo's memoized
+// verdict. A malformed program is refused with 422 verify_rejected and the
+// verifier's own message on every submission, and a second admission of one
+// image finds the verdict in the memo: on gcc the verifier allocates tens of
+// thousands of objects, a memo hit almost none.
+func TestAdmissionVerifyMemoized(t *testing.T) {
+	_, ts := startServer(t, quietCfg(t))
+	p, err := asm.Parse("asm", hangAsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "verifier rejected program: " + cfg.VerifyProgram(p).Error()
+	for i := 0; i < 2; i++ {
+		code, _, apiErr, _ := postRun(t, ts.URL, map[string]any{"tenant": "a", "asm": hangAsm})
+		if code != http.StatusUnprocessableEntity || apiErr == nil || apiErr.Code != CodeVerify || apiErr.Message != want {
+			t.Fatalf("submission %d: status %d, err %+v; want 422 %s %q", i, code, apiErr, CodeVerify, want)
+		}
+	}
+
+	var bench benchPrograms
+	admit := func() {
+		r := runRequest{Tenant: "a", Bench: "gcc", Scale: 0.01}
+		if e := r.resolve(DefaultQuotas(), &bench); e != nil {
+			t.Fatalf("gcc refused: %+v", e)
+		}
+	}
+	admit()
+	if allocs := testing.AllocsPerRun(3, admit); allocs > 20 {
+		t.Errorf("re-admitting gcc allocated %.0f objects: the verifier ran again", allocs)
 	}
 }
