@@ -153,7 +153,9 @@ func runBenchSuite(scale float64, out string) error {
 	micro("static_predict", func(b *testing.B) {
 		// The static scheme's whole analysis cost: CFG construction, loop
 		// maps, heuristic walks, and interner matching — what a load-time
-		// translator would pay once per program.
+		// translator would pay once per program. It calls the uncached
+		// staticpred.Predict, so every iteration pays the full analysis;
+		// the experiments read the walks from dynamo.StaticWalks instead.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sp, err := staticpred.Predict(pr)

@@ -42,10 +42,10 @@ import (
 	"time"
 
 	"netpath/internal/cfg"
+	"netpath/internal/dynamo"
 	"netpath/internal/profile"
 	"netpath/internal/prog"
 	"netpath/internal/snapshot"
-	"netpath/internal/staticpred"
 	"netpath/internal/trace"
 	"netpath/internal/workload"
 )
@@ -238,7 +238,7 @@ func runTrace(args []string, w io.Writer) error {
 // CFG edges: every block-to-block transfer a maximum-likelihood walk takes
 // inside the function is highlighted.
 func hotPathEdges(p *prog.Program, fi int, g *cfg.Graph) (map[cfg.Edge]bool, error) {
-	a, err := staticpred.Analyze(p)
+	walks, err := dynamo.StaticWalks(p)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func hotPathEdges(p *prog.Program, fi int, g *cfg.Graph) (map[cfg.Edge]bool, err
 		return -1
 	}
 	hl := map[cfg.Edge]bool{}
-	for _, wk := range a.Walks() {
+	for _, wk := range walks {
 		for _, st := range wk.Steps {
 			// Only block terminators realize CFG edges.
 			bi := p.BlockAt(st.PC)

@@ -1,6 +1,7 @@
 package dynamo
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"netpath/internal/isa"
 	"netpath/internal/prog"
+	"netpath/internal/randprog"
+	"netpath/internal/staticpred"
 	"netpath/internal/workload"
 )
 
@@ -107,9 +110,9 @@ func TestVerifySharedWithNew(t *testing.T) {
 	}
 }
 
-// TestProgramMemoDoesNotPin: once verified and analyzed, a program the
-// caller drops must be collectable; the memo keeps digests, verdicts and
-// detached facts, never the program.
+// TestProgramMemoDoesNotPin: once verified, analyzed and walked, a program
+// the caller drops must be collectable; the memo keeps digests, verdicts,
+// detached facts and walks, never the program.
 func TestProgramMemoDoesNotPin(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
@@ -121,6 +124,9 @@ func TestProgramMemoDoesNotPin(t *testing.T) {
 		if ProgramFacts(p) == nil {
 			t.Fatal("analysis failed on a benchmark")
 		}
+		if walks, err := StaticWalks(p); err != nil || len(walks) == 0 {
+			t.Fatalf("static walks: %d walks, %v", len(walks), err)
+		}
 	}()
 	for i := 0; i < 100; i++ {
 		runtime.GC()
@@ -130,12 +136,14 @@ func TestProgramMemoDoesNotPin(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("program still reachable after its verdict and facts were memoized")
+	t.Fatal("program still reachable after its verdict, facts and walks were memoized")
 }
 
 // TestProgramMemoConcurrent: Systems and tier-2 workers reach the memo from
 // many goroutines at once, through shared and rebuilt programs alike; all of
-// them must land on one entry with one verdict and one set of facts.
+// them must land on one entry with one verdict, one set of facts and one
+// computation of the static walks (every caller gets the same backing
+// array).
 func TestProgramMemoConcurrent(t *testing.T) {
 	shared := buildBench(t, "li")
 	progs := make([]*prog.Program, 8)
@@ -148,6 +156,7 @@ func TestProgramMemoConcurrent(t *testing.T) {
 	entries := make([]*memoEntry, len(progs))
 	errs := make([]error, len(progs))
 	facts := make([]bool, len(progs))
+	walks := make([][]staticpred.Walk, len(progs))
 	var wg sync.WaitGroup
 	for i, p := range progs {
 		wg.Add(1)
@@ -155,16 +164,101 @@ func TestProgramMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			errs[i] = Verify(p)
 			facts[i] = ProgramFacts(p) != nil
+			walks[i], _ = StaticWalks(p)
 			entries[i] = memoFor(p)
 		}()
 	}
 	wg.Wait()
 	for i := range progs {
-		if errs[i] != nil || !facts[i] {
-			t.Errorf("caller %d: verify %v, facts %v", i, errs[i], facts[i])
+		if errs[i] != nil || !facts[i] || len(walks[i]) == 0 {
+			t.Errorf("caller %d: verify %v, facts %v, %d walks", i, errs[i], facts[i], len(walks[i]))
+			continue
 		}
 		if entries[i] != entries[0] {
 			t.Errorf("caller %d got a different memo entry", i)
 		}
+		if &walks[i][0] != &walks[0][0] {
+			t.Errorf("caller %d got walks from a second computation", i)
+		}
 	}
+}
+
+// freshWalks is the uncached computation StaticWalks memoizes.
+func freshWalks(t *testing.T, p *prog.Program) []staticpred.Walk {
+	t.Helper()
+	a, err := staticpred.Analyze(p)
+	if err != nil {
+		t.Fatalf("%s: analyze: %v", p.Name, err)
+	}
+	return a.Walks()
+}
+
+// TestStaticWalksMatchAnalyze: the memoized walks are exactly the walks a
+// fresh staticpred.Analyze produces, on every benchmark and on random
+// programs, whether the memo entry was filled through the same program or
+// through a rebuilt copy.
+func TestStaticWalksMatchAnalyze(t *testing.T) {
+	var progs, copies []*prog.Program
+	for _, name := range workload.Names() {
+		progs = append(progs, buildBench(t, name))
+		copies = append(copies, buildBench(t, name))
+	}
+	for seed := int64(1); seed <= 48; seed++ {
+		progs = append(progs, randprog.MustGenerate(seed, randprog.Options{}))
+		copies = append(copies, randprog.MustGenerate(seed, randprog.Options{}))
+	}
+	for i, p := range progs {
+		got, err := StaticWalks(copies[i])
+		if err != nil {
+			t.Fatalf("%s: static walks: %v", p.Name, err)
+		}
+		if want := freshWalks(t, p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s (program %d): memoized walks differ from a fresh analysis", p.Name, i)
+		}
+	}
+}
+
+// TestStaticWalksKeying: a rebuilt copy of a program reads the walks the
+// first build computed, while a one-instruction mutant — a conditional
+// branch whose comparison changes the walks — gets an entry and walks of
+// its own.
+func TestStaticWalksKeying(t *testing.T) {
+	p1, p2 := buildBench(t, "m88ksim"), buildBench(t, "m88ksim")
+	w1, err1 := StaticWalks(p1)
+	w2, err2 := StaticWalks(p2)
+	if err1 != nil || err2 != nil || len(w1) == 0 {
+		t.Fatalf("static walks: %v, %v (%d walks)", err1, err2, len(w1))
+	}
+	if &w1[0] != &w2[0] {
+		t.Error("a rebuilt copy computed its walks again")
+	}
+
+	for pc, in := range p1.Instrs {
+		if (in.Op != isa.Br && in.Op != isa.BrI) || int(in.Target) <= pc {
+			continue
+		}
+		instrs := append([]isa.Instr(nil), p1.Instrs...)
+		instrs[pc].Cond = (in.Cond + 1) % (isa.Ge + 1)
+		m := &prog.Program{
+			Name: p1.Name, Instrs: instrs, Funcs: p1.Funcs, Blocks: p1.Blocks,
+			MemSize: p1.MemSize, InitMem: p1.InitMem, Entry: p1.Entry,
+		}
+		m.Freeze()
+		want := freshWalks(t, m)
+		if reflect.DeepEqual(want, w1) {
+			continue // this flip does not move any walk; try the next branch
+		}
+		if memoFor(m) == memoFor(p1) {
+			t.Fatal("a one-instruction mutant shares the original's memo entry")
+		}
+		got, err := StaticWalks(m)
+		if err != nil {
+			t.Fatalf("mutant: static walks: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("the mutant's memoized walks differ from its fresh analysis")
+		}
+		return
+	}
+	t.Fatal("no conditional-branch flip changed m88ksim's walks")
 }

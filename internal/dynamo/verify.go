@@ -21,14 +21,16 @@ import (
 )
 
 // programMemo is the one memo of per-program static work: the verifier's
-// verdict and, on the first tier-2 compile that wants them, the dataflow
-// facts. It is keyed by prog.Digest, a SHA-256 over everything the verifier
+// verdict, on the first tier-2 compile that wants them the dataflow facts,
+// and on the first static-scheme reader the static predictor's walks. It is
+// keyed by prog.Digest, a SHA-256 over everything the verifier
 // and the analysis read, so every rebuilt copy of a program shares one entry
 // and a crafted program cannot collide with another to borrow its verdict
 // (the FNV Fingerprint is not collision resistant, and netpathd runs
 // untrusted programs). No entry refers to a program: verdicts are plain
-// values and facts are stored detached, so the memo never pins a program
-// against garbage collection.
+// values, facts are stored detached, and walks hold only addresses and
+// signature strings, so the memo never pins a program against garbage
+// collection.
 //
 // The memo is bounded. A resident server verifies an endless stream of
 // fresh programs; crossing memoCap drops every entry at once (recomputing
@@ -53,6 +55,13 @@ type memoEntry struct {
 	// facts has Prog and Graphs cleared; ProgramFacts binds a copy to the
 	// caller's program. nil when the analysis failed.
 	facts *dataflow.Facts
+
+	walksOnce sync.Once
+	// walks are the static predictor's maximum-likelihood walks, the only
+	// product of staticpred.Analyze kept: its CFGs, loop maps and the range
+	// facts it solved are dropped once the walks exist.
+	walks    []staticpred.Walk
+	walksErr error
 }
 
 // memoFor returns p's memo entry, creating an empty one if needed.
@@ -103,6 +112,25 @@ func ProgramFacts(p *prog.Program) *dataflow.Facts {
 	return &f
 }
 
+// StaticWalks returns the static predictor's walks over p
+// (staticpred.Analyze, then Walks), computed at most once per resident
+// program image. The static scheme's whole cost is this load-time analysis,
+// so every reader of it — the Figure-5 static cells, the τ sweep and
+// pathdump — shares one computation per program. The slice is shared:
+// callers must not modify it.
+func StaticWalks(p *prog.Program) ([]staticpred.Walk, error) {
+	e := memoFor(p)
+	e.walksOnce.Do(func() {
+		a, err := staticpred.Analyze(p)
+		if err != nil {
+			e.walksErr = err
+			return
+		}
+		e.walks = a.Walks()
+	})
+	return e.walks, e.walksErr
+}
+
 // prebuildStatic populates the fragment cache from the static predictor's
 // maximum-likelihood walks — the static scheme's whole "profiling" phase,
 // run at load time with zero runtime counters. Each completed walk becomes
@@ -113,14 +141,14 @@ func ProgramFacts(p *prog.Program) *dataflow.Facts {
 // are skipped; a trailing halt is trimmed because online recordings end at
 // path boundaries, never at the halt itself.
 func (s *System) prebuildStatic(p *prog.Program) {
-	a, err := staticpred.Analyze(p)
+	walks, err := StaticWalks(p)
 	if err != nil {
 		// Analyze only fails where the verifier would have failed first;
 		// a verified program always analyzes. Degrade to an empty cache.
 		return
 	}
 	built := 0
-	for _, w := range a.Walks() {
+	for _, w := range walks {
 		if w.Aborted || len(w.Steps) == 0 {
 			continue
 		}

@@ -22,6 +22,7 @@ import (
 	"netpath/internal/dynamo"
 	"netpath/internal/metrics"
 	"netpath/internal/par"
+	"netpath/internal/predict"
 	"netpath/internal/profile"
 	"netpath/internal/prog"
 	"netpath/internal/staticpred"
@@ -136,17 +137,21 @@ type Series struct {
 // fan out over the par worker pool, writing into preallocated slots so the
 // output is identical to the serial nested loops. The static scheme has no
 // delay knob (τ is zero by construction); its series carries the same
-// point at every τ and renders as the flat profile-free baseline.
+// point at every τ and renders as the flat profile-free baseline. Its one
+// immutable predictor per program is built first, on the pool, from the
+// program's memoized walks.
 func SweepSchemes(bps []BenchProfile, taus []int64) []Series {
+	statics := par.Map(len(bps), func(i int) *staticpred.Predictor { return staticPredictor(bps[i]) })
 	out := make([]Series, 0, 3*len(bps))
 	facs := make([]metrics.Factory, 0, 3*len(bps))
-	for _, bp := range bps {
+	for i, bp := range bps {
 		out = append(out, Series{Scheme: "pathprofile", Bench: bp.Name, Points: make([]metrics.Point, len(taus))})
 		facs = append(facs, metrics.PathProfileFactory())
 		out = append(out, Series{Scheme: "net", Bench: bp.Name, Points: make([]metrics.Point, len(taus))})
 		facs = append(facs, metrics.NETFactory(bp.Prof))
 		out = append(out, Series{Scheme: "static", Bench: bp.Name, Points: make([]metrics.Point, len(taus))})
-		facs = append(facs, metrics.StaticFactory(bp.Prof))
+		sp := statics[i]
+		facs = append(facs, func(int64) predict.Predictor { return sp })
 	}
 	planCells(len(out) * len(taus))
 	par.Do(len(out)*len(taus), func(cell int) {
@@ -159,6 +164,16 @@ func SweepSchemes(bps []BenchProfile, taus []int64) []Series {
 		cellDone(sink)
 	})
 	return out
+}
+
+// staticPredictor is metrics.StaticFactory's predictor built from the
+// program's memoized walks (dynamo.StaticWalks), so the sweep, StaticReport
+// and the Figure-5 static cells analyze each program once. A program the
+// analysis refuses gets the empty predictor; it cannot have produced a
+// profile in the first place.
+func staticPredictor(bp BenchProfile) *staticpred.Predictor {
+	walks, _ := dynamo.StaticWalks(bp.Prof.Program)
+	return staticpred.NewPredictor(bp.Prof, walks)
 }
 
 // StaticReport renders the profile-free static scheme head-to-head against
@@ -177,10 +192,7 @@ func StaticReport(bps []BenchProfile) string {
 	rows := par.Map(len(bps), func(i int) row {
 		bp := bps[i]
 		sink := telSink()
-		sp, err := staticpred.Predict(bp.Prof)
-		if err != nil {
-			sp = staticpred.NewPredictor(bp.Prof, nil)
-		}
+		sp := staticPredictor(bp)
 		sp.SetTelemetry(sink)
 		st := metrics.Evaluate(bp.Prof, bp.Hot, sp, 0)
 		net := metrics.Evaluate(bp.Prof, bp.Hot, metrics.NETFactory(bp.Prof)(tau), tau)

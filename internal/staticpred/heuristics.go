@@ -11,6 +11,7 @@
 package staticpred
 
 import (
+	"slices"
 	"sort"
 
 	"netpath/internal/cfg"
@@ -96,14 +97,10 @@ func Analyze(p *prog.Program) (*Analysis, error) {
 	for fi, g := range gs {
 		in := make([]map[cfg.Node]bool, g.NumNodes())
 		loops := g.NaturalLoops()
-		// Largest bodies first, so the smallest enclosing loop wins.
-		for i := 0; i < len(loops); i++ {
-			for j := i + 1; j < len(loops); j++ {
-				if len(loops[j].Body) > len(loops[i].Body) {
-					loops[i], loops[j] = loops[j], loops[i]
-				}
-			}
-		}
+		// Largest bodies first, so the smallest enclosing loop wins. Natural
+		// loops with distinct heads are nested or disjoint, and nested ones
+		// differ in size, so the order among equal sizes cannot change inner.
+		slices.SortFunc(loops, func(x, y cfg.Loop) int { return len(y.Body) - len(x.Body) })
 		for _, l := range loops {
 			body := make(map[cfg.Node]bool, len(l.Body))
 			for _, u := range l.Body {
@@ -119,7 +116,7 @@ func Analyze(p *prog.Program) (*Analysis, error) {
 	for _, mi := range p.InitMem {
 		a.data = append(a.data, mi.Value)
 	}
-	sort.Slice(a.data, func(i, j int) bool { return a.data[i] < a.data[j] })
+	slices.Sort(a.data)
 	// Dataflow facts upgrade heuristics to proofs where the ranges decide a
 	// branch. A failed analysis (impossible on a verified program) just
 	// leaves the model purely heuristic.

@@ -82,6 +82,42 @@ func TestLoopBranchHeuristic(t *testing.T) {
 	}
 }
 
+// TestLoopExitHeuristicInnermost: the loop-exit heuristic judges a branch
+// against the innermost loop containing it. Here the inner loop's forward
+// branch leaves the inner loop but stays in the outer one, so only the
+// inner body shows it as an exit; judged against the outer body, neither
+// side would leave and the heuristic would not fire.
+func TestLoopExitHeuristicInnermost(t *testing.T) {
+	b := prog.NewBuilder("nested")
+	b.SetMemSize(16)
+	m := b.Func("main")
+	m.MovI(0, 0)
+	m.Label("outer")
+	m.MovI(1, 0)
+	m.Label("inner")
+	m.Load(2, 1, 0)
+	m.Br(isa.Ne, 2, 5, "skip") // leaves the inner loop only
+	m.AddI(3, 3, 1)
+	m.AddI(1, 1, 1)
+	m.BrI(isa.Lt, 1, 10, "inner")
+	m.Label("skip")
+	m.AddI(0, 0, 1)
+	m.BrI(isa.Lt, 0, 10, "outer")
+	m.Halt()
+	p := b.MustBuild()
+	a := analyze(t, p)
+	exit := -1
+	for pc, in := range p.Instrs {
+		if in.Op == isa.Br {
+			exit = pc
+		}
+	}
+	want := combine(condProb(isa.Ne), 1-probStayInLoop)
+	if got := a.TakenProb(exit); math.Abs(got-want) > 1e-9 {
+		t.Errorf("inner-loop exit branch: P(taken) = %v, want %v (Ne prior fused with stay-in-loop)", got, want)
+	}
+}
+
 func TestImmediateHeuristic(t *testing.T) {
 	p := loopProg(t)
 	a := analyze(t, p)
